@@ -27,8 +27,7 @@
 //!   determinism sentinels — a changed `digest` or `bytes_on_wire_total`
 //!   means the datapath's output changed, not its speed.
 //!
-//! `mode` and the documented-jitter keys (`overlapped`, `overlap_pct`)
-//! are ignored. The verdict JSON (`bench_diff/v1`) lists every failure
+//! `mode` is ignored. The verdict JSON (`bench_diff/v1`) lists every failure
 //! with its rule and both values; `--check` turns failures into a
 //! non-zero exit for CI.
 //!
@@ -61,9 +60,8 @@ const ID_KEYS: [&str; 14] = [
 ];
 
 /// Keys excluded from comparison entirely: `mode` distinguishes smoke
-/// from full on purpose, and the overlap columns are documented in
-/// `bench_scale` as scheduling jitter, not gated properties.
-const IGNORED_KEYS: [&str; 3] = ["mode", "overlapped", "overlap_pct"];
+/// from full on purpose.
+const IGNORED_KEYS: [&str; 1] = ["mode"];
 
 #[derive(Debug, Clone, PartialEq)]
 enum Leaf {
@@ -431,7 +429,7 @@ mod tests {
 
     #[test]
     fn plain_arrays_keep_indices_and_ignored_keys_vanish() {
-        let got = rows("{\"mode\": \"full\", \"xs\": [1, 2], \"overlap_pct\": 50.0}");
+        let got = rows("{\"mode\": \"full\", \"xs\": [1, 2]}");
         let paths: Vec<&str> = got.iter().map(|(p, _)| p.as_str()).collect();
         assert_eq!(paths, vec!["xs[0]", "xs[1]"]);
     }

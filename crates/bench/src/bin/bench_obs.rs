@@ -1,64 +1,53 @@
 //! Observability-overhead benchmark: emits `BENCH_obs.json`.
 //!
 //! Answers the question the flight recorder raises: what does recording
-//! cost? The acceptance cell (N = 2^20, d = 8, J = L = 64; N = 2^12
-//! under `--smoke`) runs legs of eight consecutive streamed rekey
-//! builds (`rekeymsg::stream`) — recorder off, then recorder on —
-//! interleaved so thermal/cache drift hits both legs equally, taking
-//! the min leg wall over reps for each side. A single build is ~1.5 ms
-//! on the reference container, small enough that a percentage gate on
-//! one build is scheduling noise; the eight-build leg amortises it.
-//! Alongside the overhead it cross-validates the pipeline-overlap
-//! accounting two independent ways:
+//! cost? A key server holding the acceptance cell (N = 2^15, d = 8,
+//! J = L = 64 — the largest degree-8 group whose node IDs fit the 16-bit
+//! wire format a full `KeyServer::rekey` message needs; N = 2^12 under
+//! `--smoke`) runs thousands of rekeys with the recorder off and as many
+//! with it on, interleaved build by build so thermal/cache drift hits
+//! both sides equally, and compares the median build wall of each side.
+//! Each rekey replaces 64 members in place (the departures of one batch
+//! are the joiners of the next), so the group stays at the cell's size.
+//! A single build is well under a millisecond and much of it is spent
+//! spawning scoped `taskpool` workers, so one build — or the minimum of
+//! a few short legs — is scheduling noise; the median over thousands is
+//! stable to about a percent.
 //!
-//! * `stats_overlap_ns` — `StreamStats::overlap_ns`, the stopwatch
-//!   windows measured inside `plan_and_seal_streamed` itself;
-//! * `event_window_overlap_ns` — the same three-window inclusion–
-//!   exclusion recomputed from the recorder's event stream (the
-//!   `pipe.mint_resolve` / `stage.seal` / `stage.plan` spans mirror the
-//!   producer/seal/plan windows exactly);
-//! * `event_union_overlap_ns` — the exact interval-union overlap over
-//!   the full per-stage span lists, which the window approximation can
-//!   only overstate.
-//!
-//! `agreement_pct_of_wall` is |event − stats| as a percentage of the
-//! build wall; the acceptance bound is ≤ 1%. The recorder's off path is
-//! additionally pinned at exactly zero allocations (`off_path_allocs`,
-//! counted by the `xcheck_rt::CountingAlloc` global allocator over a
-//! span+instant hammer with recording disarmed).
+//! Alongside the overhead it cross-checks the recorder's clock against
+//! the stopwatch: for each of several single recorder-on rekeys, the
+//! duration of the recorded `rekey.batch` span must match the stopwatch
+//! wall around the same `KeyServer::rekey` call. `span_vs_wall_pct` is
+//! the worst |span − wall| as a percentage of that build's wall; the
+//! acceptance bound is ≤ 1%. The recorder's off path is additionally
+//! pinned at exactly zero allocations (`off_path_allocs`, counted by the
+//! `xcheck_rt::CountingAlloc` global allocator over a span+instant
+//! hammer with recording disarmed).
 //!
 //! Flags: `--smoke` shrinks the cell; `--out PATH` overrides the output
 //! path; `--check PATH` validates an existing report (gates: overhead
-//! ≤ 5% and agreement ≤ 1% in full mode, `off_path_allocs == 0`
-//! always); `--trace-out PATH` additionally writes the best
-//! recorder-on rep's Chrome trace-event JSON. Measurement requires a
-//! build with `--features obs`; `--check` works on any build.
+//! ≤ 5% and span-vs-wall ≤ 1% in full mode, `off_path_allocs == 0`
+//! always); `--trace-out PATH` additionally writes the Chrome trace-event
+//! JSON of the cross-check rekey with the largest span-vs-wall gap.
+//! Measurement requires a build with `--features obs`; `--check` works
+//! on any build.
 
-use std::hint::black_box;
 use std::time::Instant;
 
-use keytree::{Batch, CompactionPolicy, KeyTree, MarkScratch, MemberId};
-use rekeymsg::{Layout, StreamStats, StreamTuning};
-use wirecrypto::{KeyGen, SymKey};
+use grouprekey::{KeyServer, ServerOptions};
+use keytree::{Batch, MemberId};
 use xcheck_rt::CountingAlloc;
 
 #[global_allocator]
 static COUNTING: CountingAlloc = CountingAlloc;
 
-const SCHEMA: &str = "bench_obs/v1";
+const SCHEMA: &str = "bench_obs/v2";
 const WORKERS: usize = 2;
 const OVERHEAD_BOUND_PCT: f64 = 5.0;
-const AGREEMENT_BOUND_PCT: f64 = 1.0;
+const SPAN_VS_WALL_BOUND_PCT: f64 = 1.0;
 
-/// Same tuning as `bench_scale`'s pipeline section: barrier-sized chunks,
-/// a channel deep enough that minting never stalls behind planning.
-const PIPE_TUNING: StreamTuning = StreamTuning {
-    chunk_edges: rekeymsg::SEAL_CHUNK,
-    channel_capacity: 512,
-};
-
-/// The stage spans whose event streams mirror the `StreamStats` windows.
-const OVERLAP_SPANS: [&str; 3] = ["pipe.mint_resolve", "stage.seal", "stage.plan"];
+/// The span `KeyServer::rekey` records around one whole batch.
+const BATCH_SPAN: &str = "rekey.batch";
 
 #[derive(Clone, Copy)]
 struct Cell {
@@ -70,134 +59,158 @@ struct Cell {
 
 fn acceptance_cell(smoke: bool) -> Cell {
     Cell {
-        n: if smoke { 1 << 12 } else { 1 << 20 },
+        n: if smoke { 1 << 12 } else { 1 << 15 },
         d: 8,
         joins: 64,
         leaves: 64,
     }
 }
 
-fn make_batch(cell: Cell, keygen: &mut KeyGen) -> Batch {
-    let n = cell.n;
-    let stride = (n / (2 * cell.leaves.max(1)) as u32).max(1);
-    let leaves: Vec<MemberId> = (0..cell.leaves as u32).map(|i| (i * stride) % n).collect();
-    let joins: Vec<(MemberId, SymKey)> = (0..cell.joins as u32)
-        .map(|i| (n + i, keygen.next_key()))
-        .collect();
-    Batch::new(joins, leaves)
+/// A key server plus the member bookkeeping that keeps its group at the
+/// cell's size: every batch departs `leaves` live members, spread across
+/// the ID space from a rotating offset, and admits the previous batch's
+/// departures back under fresh individual keys.
+struct Group {
+    server: KeyServer,
+    live: Vec<MemberId>,
+    spare: Vec<MemberId>,
+    round: usize,
 }
 
-/// One streamed rekey build over a fresh copy of `base`, timed end to end
-/// (marking + mint + plan + seal, the same datapath `bench_scale` rows
-/// time). Returns the wall in milliseconds and the pipeline's own stats.
-fn run_rep(
-    base: &KeyTree,
-    keygen: &KeyGen,
-    cell: Cell,
-    tree: &mut KeyTree,
-    scratch: &mut MarkScratch,
-) -> (f64, StreamStats) {
-    tree.clone_from(base);
-    let mut kg = keygen.clone();
-    let batch = make_batch(cell, &mut kg);
-    let start = Instant::now();
-    let (outcome, pending) =
-        tree.process_batch_deferred_in(batch, &mut kg, scratch, &CompactionPolicy::DISABLED);
-    let (derived, built) = rekeymsg::stream::plan_and_seal_streamed(
-        tree,
-        &outcome,
-        &pending,
-        1,
-        &Layout::DEFAULT,
-        PIPE_TUNING,
-    );
-    tree.install_minted(&outcome.updated_knodes, &derived);
-    let (plans, sealed, stats) =
-        built.unwrap_or_else(|e| unreachable!("wide build has no wire cap: {e}"));
-    let wall = start.elapsed().as_secs_f64() * 1000.0;
-    black_box((&plans, &sealed));
-    (wall, stats)
+impl Group {
+    fn new(cell: Cell) -> Self {
+        let options = ServerOptions {
+            degree: cell.d,
+            ..ServerOptions::default()
+        };
+        Group {
+            server: KeyServer::bootstrap(cell.n, options),
+            live: (0..cell.n).collect(),
+            spare: (cell.n..cell.n + cell.joins as u32).collect(),
+            round: 0,
+        }
+    }
+
+    fn next_batch(&mut self, cell: Cell) -> Batch {
+        let stride = (self.live.len() / cell.leaves.max(1)).max(1);
+        let offset = self.round % stride;
+        self.round += 1;
+        let mut leaves = Vec::with_capacity(cell.leaves);
+        let mut joins = Vec::with_capacity(cell.joins);
+        for i in 0..cell.leaves.min(cell.joins) {
+            let slot = offset + i * stride;
+            let joiner = self.spare[i];
+            leaves.push(self.live[slot]);
+            joins.push((joiner, self.server.mint_individual_key()));
+            self.spare[i] = self.live[slot];
+            self.live[slot] = joiner;
+        }
+        Batch::new(joins, leaves)
+    }
+
+    /// One timed `KeyServer::rekey` (batch built off the clock); returns
+    /// the stopwatch wall in nanoseconds. The artifacts are dropped after
+    /// the stopwatch stops.
+    fn rekey_ns(&mut self, cell: Cell) -> u64 {
+        let batch = self.next_batch(cell);
+        let start = Instant::now();
+        let artifacts = self.server.rekey(batch);
+        let wall = start.elapsed().as_nanos() as u64;
+        drop(artifacts);
+        wall
+    }
 }
 
 struct Measurement {
     recorder_off_ms: f64,
     recorder_on_ms: f64,
-    stats: StreamStats,
+    /// Stopwatch wall of the cross-check rekey with the largest gap.
+    wall_ns: u64,
+    /// Its recorded `rekey.batch` span duration.
+    span_ns: u64,
+    /// The largest |span − wall| over the cross-check rekeys, as a
+    /// percentage of that rekey's wall.
+    span_vs_wall_pct: f64,
     trace: obs::trace::Trace,
 }
 
-/// Builds summed into one timed leg; ~12 ms of work per leg on the
-/// reference container, large enough to amortise scheduler spikes that
-/// swamp a single ~1.5 ms build.
-const LEG_BUILDS: usize = 8;
-
-/// Single recorder-on builds run after the timing loop to source the
-/// overlap cross-check pair.
+/// Single recorder-on rekeys run after the timing loop to source the
+/// span-versus-stopwatch cross-check.
 const XCHECK_REPS: usize = 8;
 
-/// Interleaved off/on legs (of `LEG_BUILDS` builds each) under `WORKERS`
-/// pipeline workers; min leg wall per side, reported per build. The
-/// trace and stats for the overlap cross-check come from a separate loop
-/// of single recorder-on builds, keeping the pair with the largest
-/// `StreamStats::overlap_ns` — trace and stats must describe the same
-/// build for the check to be honest, and the build with the most
-/// producer/worker interleaving stresses the two accountings hardest (on
-/// one core the *fastest* build is typically the sequential schedule,
-/// where both trivially report zero).
-fn measure(cell: Cell, reps: usize) -> Measurement {
-    let mut keygen = KeyGen::from_seed(0x0B5E_0B5E_u64);
-    let base = KeyTree::balanced(cell.n, cell.d, &mut keygen);
-    let mut tree = base.clone();
-    let mut scratch = MarkScratch::new();
+/// The median of `walls` (nanoseconds), in milliseconds.
+fn median_ms(walls: &mut [u64]) -> f64 {
+    walls.sort_unstable();
+    walls
+        .get(walls.len() / 2)
+        .map_or(0.0, |&ns| ns as f64 / 1e6)
+}
+
+/// `pairs` recorder-off/recorder-on rekey pairs under `WORKERS` taskpool
+/// workers, interleaved build by build (alternating which side goes
+/// first) so drift in machine speed hits both sides equally; each side
+/// reports its median build wall. A single sub-millisecond rekey spends
+/// much of its wall spawning scoped workers, whose cost swings with the
+/// host's scheduling, so only a median over thousands of builds is
+/// stable to a percent. The cross-check then times `XCHECK_REPS` single
+/// recorder-on rekeys, each drained on its own so span and stopwatch
+/// describe the same build, and keeps the one whose two clocks disagree
+/// most.
+fn measure(cell: Cell, pairs: usize) -> Measurement {
+    let mut group = Group::new(cell);
 
     taskpool::with_workers(WORKERS, || {
-        // One untimed warm-up per leg: first-touch page faults, span-name
-        // interning, and ring claiming all happen here, not on the clock.
-        let _ = run_rep(&base, &keygen, cell, &mut tree, &mut scratch);
+        // Untimed warm-up on both sides: first-touch page faults,
+        // span-name interning, and ring claiming all happen here, not on
+        // the clock.
+        let _ = group.rekey_ns(cell);
         obs::trace::enable(obs::trace::DEFAULT_CAPACITY);
-        let _ = run_rep(&base, &keygen, cell, &mut tree, &mut scratch);
+        let _ = group.rekey_ns(cell);
         obs::trace::disable();
         obs::trace::clear();
 
-        let mut off_best = f64::INFINITY;
-        let mut on_best = f64::INFINITY;
-        for _ in 0..reps {
-            let mut off_leg = 0.0;
-            for _ in 0..LEG_BUILDS {
-                off_leg += run_rep(&base, &keygen, cell, &mut tree, &mut scratch).0;
+        let mut off_walls = Vec::with_capacity(pairs);
+        let mut on_walls = Vec::with_capacity(pairs);
+        for i in 0..pairs {
+            for on in [i % 2 == 1, i % 2 == 0] {
+                if on {
+                    obs::trace::enable(obs::trace::DEFAULT_CAPACITY);
+                    on_walls.push(group.rekey_ns(cell));
+                    obs::trace::disable();
+                    obs::trace::clear();
+                } else {
+                    off_walls.push(group.rekey_ns(cell));
+                }
             }
-            off_best = off_best.min(off_leg);
-
-            obs::trace::enable(obs::trace::DEFAULT_CAPACITY);
-            let mut on_leg = 0.0;
-            for _ in 0..LEG_BUILDS {
-                on_leg += run_rep(&base, &keygen, cell, &mut tree, &mut scratch).0;
-            }
-            obs::trace::disable();
-            obs::trace::clear();
-            on_best = on_best.min(on_leg);
         }
 
-        let mut best_stats = StreamStats::default();
-        let mut best_trace = obs::trace::Trace::default();
-        let mut have_pair = false;
+        let mut worst: Option<(f64, u64, u64, obs::trace::Trace)> = None;
         for _ in 0..XCHECK_REPS {
             obs::trace::enable(obs::trace::DEFAULT_CAPACITY);
-            let (_, stats) = run_rep(&base, &keygen, cell, &mut tree, &mut scratch);
+            let wall_ns = group.rekey_ns(cell);
             obs::trace::disable();
             let trace = obs::trace::drain();
             obs::trace::clear();
-            if !have_pair || stats.overlap_ns > best_stats.overlap_ns {
-                have_pair = true;
-                best_stats = stats;
-                best_trace = trace;
+            let spans = trace.span_intervals(BATCH_SPAN);
+            let [(begin, end)] = spans[..] else {
+                panic!("want exactly one {BATCH_SPAN} span per rekey, got {spans:?}");
+            };
+            let span_ns = end - begin;
+            let gap_pct = 100.0 * span_ns.abs_diff(wall_ns) as f64 / wall_ns.max(1) as f64;
+            if worst.as_ref().is_none_or(|(pct, ..)| gap_pct > *pct) {
+                worst = Some((gap_pct, wall_ns, span_ns, trace));
             }
         }
+        let Some((span_vs_wall_pct, wall_ns, span_ns, trace)) = worst else {
+            unreachable!("XCHECK_REPS > 0")
+        };
         Measurement {
-            recorder_off_ms: off_best / LEG_BUILDS as f64,
-            recorder_on_ms: on_best / LEG_BUILDS as f64,
-            stats: best_stats,
-            trace: best_trace,
+            recorder_off_ms: median_ms(&mut off_walls),
+            recorder_on_ms: median_ms(&mut on_walls),
+            wall_ns,
+            span_ns,
+            span_vs_wall_pct,
+            trace,
         }
     })
 }
@@ -222,11 +235,9 @@ fn count_off_path_allocs() -> u64 {
 struct Report {
     mode: &'static str,
     cell: Cell,
-    reps: usize,
+    pairs: usize,
     measurement: Measurement,
     off_path_allocs: u64,
-    event_window_overlap_ns: u64,
-    event_union_overlap_ns: u64,
 }
 
 impl Report {
@@ -239,35 +250,22 @@ impl Report {
         }
     }
 
-    fn agreement_pct_of_wall(&self) -> f64 {
-        let wall = self.measurement.stats.wall_ns;
-        if wall == 0 {
-            return 0.0;
-        }
-        let diff = self
-            .event_window_overlap_ns
-            .abs_diff(self.measurement.stats.overlap_ns);
-        100.0 * diff as f64 / wall as f64
-    }
-
     fn to_json(&self) -> String {
         let m = &self.measurement;
         format!(
             "{{\n  \"schema\": \"{SCHEMA}\",\n  \"mode\": \"{}\",\n  \
              \"cell\": {{\"n\": {}, \"d\": {}, \"joins\": {}, \"leaves\": {}}},\n  \
-             \"workers\": {WORKERS},\n  \"reps\": {},\n  \
+             \"workers\": {WORKERS},\n  \"pairs\": {},\n  \
              \"recorder_off_ms\": {},\n  \"recorder_on_ms\": {},\n  \"overhead_pct\": {},\n  \
              \"off_path_allocs\": {},\n  \
              \"events\": {},\n  \"tracks\": {},\n  \"dropped\": {},\n  \
-             \"wall_ns\": {},\n  \"stats_overlap_ns\": {},\n  \
-             \"event_window_overlap_ns\": {},\n  \"event_union_overlap_ns\": {},\n  \
-             \"agreement_pct_of_wall\": {}\n}}\n",
+             \"wall_ns\": {},\n  \"span_ns\": {},\n  \"span_vs_wall_pct\": {}\n}}\n",
             self.mode,
             self.cell.n,
             self.cell.d,
             self.cell.joins,
             self.cell.leaves,
-            self.reps,
+            self.pairs,
             fmt_f(m.recorder_off_ms),
             fmt_f(m.recorder_on_ms),
             fmt_f(self.overhead_pct()),
@@ -275,11 +273,9 @@ impl Report {
             m.trace.events.len(),
             m.trace.tracks.len(),
             m.trace.dropped_total(),
-            m.stats.wall_ns,
-            m.stats.overlap_ns,
-            self.event_window_overlap_ns,
-            self.event_union_overlap_ns,
-            fmt_f(self.agreement_pct_of_wall()),
+            m.wall_ns,
+            m.span_ns,
+            fmt_f(m.span_vs_wall_pct),
         )
     }
 }
@@ -331,13 +327,13 @@ fn check_report(text: &str) -> Vec<String> {
             )),
             None => problems.push("missing overhead_pct".to_string()),
         }
-        match num("agreement_pct_of_wall") {
-            Some(p) if p <= AGREEMENT_BOUND_PCT => {}
+        match num("span_vs_wall_pct") {
+            Some(p) if p <= SPAN_VS_WALL_BOUND_PCT => {}
             Some(p) => problems.push(format!(
-                "event/stats overlap disagreement {p:.3}% of wall exceeds \
-                 the {AGREEMENT_BOUND_PCT}% bound"
+                "{BATCH_SPAN} span differs from the stopwatch wall by {p:.3}%, \
+                 over the {SPAN_VS_WALL_BOUND_PCT}% bound"
             )),
-            None => problems.push("missing agreement_pct_of_wall".to_string()),
+            None => problems.push("missing span_vs_wall_pct".to_string()),
         }
     }
     problems
@@ -392,7 +388,7 @@ fn main() {
     }
 
     let mode = if smoke { "smoke" } else { "full" };
-    let reps = if smoke { 2 } else { 12 };
+    let pairs = if smoke { 64 } else { 2000 };
     let cell = acceptance_cell(smoke);
     eprintln!(
         "obs overhead: N=2^{} d={} J={} L={} workers={WORKERS} ({mode})",
@@ -403,27 +399,12 @@ fn main() {
     );
 
     let off_path_allocs = count_off_path_allocs();
-    let measurement = measure(cell, reps);
-
-    // Two event-derived overlap figures from the best recorder-on rep:
-    // single [first, last] windows per stage (mirrors the StreamStats
-    // stopwatch exactly) and the exact union over every span interval.
-    let windows: Vec<Vec<(u64, u64)>> = OVERLAP_SPANS
-        .iter()
-        .map(|name| measurement.trace.span_window(name).into_iter().collect())
-        .collect();
-    let intervals: Vec<Vec<(u64, u64)>> = OVERLAP_SPANS
-        .iter()
-        .map(|name| measurement.trace.span_intervals(name))
-        .collect();
     let report = Report {
         mode,
         cell,
-        reps,
+        pairs,
         off_path_allocs,
-        event_window_overlap_ns: obs::trace::multi_stage_overlap_ns(&windows),
-        event_union_overlap_ns: obs::trace::multi_stage_overlap_ns(&intervals),
-        measurement,
+        measurement: measure(cell, pairs),
     };
 
     let m = &report.measurement;
@@ -437,13 +418,8 @@ fn main() {
         m.trace.dropped_total(),
     );
     eprintln!(
-        "  overlap: stats {:>12} ns, event-window {:>12} ns, event-union {:>12} ns \
-         (disagreement {:.3}% of {:.3} ms wall)",
-        m.stats.overlap_ns,
-        report.event_window_overlap_ns,
-        report.event_union_overlap_ns,
-        report.agreement_pct_of_wall(),
-        m.stats.wall_ns as f64 / 1e6,
+        "  {BATCH_SPAN}: span {} ns vs stopwatch {} ns (worst gap {:.3}% of wall)",
+        m.span_ns, m.wall_ns, m.span_vs_wall_pct,
     );
     eprintln!("  off-path allocations over 4096 span+instant rounds: {off_path_allocs}");
 

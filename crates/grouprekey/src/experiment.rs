@@ -17,11 +17,12 @@ use keytree::{Batch, KeyTree, MemberId};
 use netsim::{Network, NetworkConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rekeymsg::{assign, Layout, UkaAssignment};
+use rekeymsg::{assign, Layout};
 use rekeyproto::{ServerConfig, ServerController};
 use wirecrypto::{KeyGen, SymKey};
 
 use crate::metrics::MessageReport;
+use crate::server::produce_message;
 use crate::sim::{run_message_transport_with, SimConfig, SimUser, TransportScratch};
 
 /// Averaged key-management workload statistics for one `(N, d, J, L)`
@@ -270,25 +271,9 @@ impl ExperimentRun {
         let mut kg = KeyGen::from_seed(self.rng.gen());
 
         let (tree, outcome) = one_batch(p.n, p.degree, p.joins, p.leaves, &mut kg, &mut self.rng);
-        let assignment = UkaAssignment::build(&tree, &outcome, self.msg_seq, &p.protocol.layout)
-            .unwrap_or_else(|e| {
-                unreachable!("marking outcome always seals against its own tree: {e}")
-            });
-        let usr_hint = p.protocol.layout.usr_packet_len(tree.height() as usize + 1);
-
         let num_nack_used = self.controller.num_nack;
-        let mut session = self
-            .controller
-            .begin_message(assignment.packets.clone(), usr_hint);
-        #[cfg(feature = "sanitize")]
-        crate::sanitize::check_message(
-            &tree,
-            &outcome,
-            &assignment,
-            session.blocks(),
-            self.msg_seq,
-            &p.protocol.layout,
-        );
+        let (assignment, mut session) =
+            produce_message(&self.controller, &tree, &outcome, self.msg_seq);
 
         // One SimUser per current member; network index = enumeration
         // order (loss classes persist per index across messages).

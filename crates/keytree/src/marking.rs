@@ -13,10 +13,10 @@
 //!
 //! # Cost model
 //!
-//! [`KeyTree::process_batch_in`] touches only the rekey subtree, never the
-//! whole tree: labelling grows bottom-up from the slots this batch placed
-//! or vacated, walking each ancestor path once with an early exit at the
-//! first already-visited node, so a (J, L) batch costs
+//! [`KeyTree::process_batch_compacting_in`] touches only the rekey
+//! subtree, never the whole tree: labelling grows bottom-up from the slots
+//! this batch placed or vacated, walking each ancestor path once with an
+//! early exit at the first already-visited node, so a (J, L) batch costs
 //! `O((J + L) · log_d N)` regardless of `N`. All per-batch working state
 //! lives in a caller-owned [`MarkScratch`] whose buffers are reused across
 //! batches (epoch-stamped node maps avoid `O(N)` clears), and fresh keys
@@ -257,7 +257,7 @@ impl MarkScratch {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompactionPolicy {
     /// Master switch; `false` makes [`KeyTree::process_batch_compacting_in`]
-    /// behave exactly like [`KeyTree::process_batch_in`].
+    /// skip compaction entirely.
     pub enabled: bool,
     /// Trigger slack: compact only once `nk` exceeds
     /// `slack * ideal_nk + d`, where `ideal_nk ~ (U - 1) / (d - 1)` is the
@@ -395,52 +395,18 @@ fn derive_node_key(seed: &SymKey, id: NodeId) -> SymKey {
 
 /// Updated k-nodes per parallel key-derivation chunk. Constant (not
 /// worker-count derived) so chunk boundaries — and thus the work units —
-/// are identical at any `REKEY_THREADS`. Public because the streaming
-/// rekey pipeline mints producer-side chunks on the same boundaries the
-/// barrier path uses, which is what keeps the two paths byte-identical.
-pub const DERIVE_CHUNK: usize = 128;
-
-/// [`derive_node_key`] for callers outside the crate: the streaming
-/// pipeline's producer mints updated-k-node keys chunk by chunk from the
-/// [`PendingMint`] seed while downstream stages are already sealing, and
-/// must produce bit-for-bit the keys the barrier path installs.
-pub fn derive_updated_key(seed: &SymKey, id: NodeId) -> SymKey {
-    derive_node_key(seed, id)
-}
-
-/// The deferred half of a processed batch: the seed from which every
-/// updated k-node's fresh key derives.
-///
-/// [`KeyTree::process_batch_deferred_in`] hands this back *instead of*
-/// installing the fresh keys, so a streaming caller can overlap key
-/// minting with downstream sealing while the tree stays immutable (and
-/// therefore freely shared across pipeline stages). Each key is a pure
-/// PRF of `(seed, node id)` — see [`derive_updated_key`] — so minting
-/// order is irrelevant and deferral cannot change a single key byte.
-/// Once the pipeline drains, [`KeyTree::install_minted`] writes the
-/// derived keys back.
-#[derive(Debug, Clone)]
-pub struct PendingMint {
-    /// `None` when the batch updated no k-nodes (the keygen draw is
-    /// skipped entirely, preserving the generator's sequence).
-    seed: Option<SymKey>,
-}
-
-impl PendingMint {
-    /// The batch seed, or `None` when there is nothing to mint.
-    pub fn seed(&self) -> Option<&SymKey> {
-        self.seed.as_ref()
-    }
-}
+/// are identical at any `REKEY_THREADS`.
+const DERIVE_CHUNK: usize = 128;
 
 impl KeyTree {
     /// Runs the marking algorithm over one batch: updates the tree
     /// (replacements, pruning, splitting), relabels, mints fresh keys for
     /// every updated k-node, and returns the rekey-subtree edges.
     ///
-    /// Convenience wrapper over [`KeyTree::process_batch_in`] that clones
-    /// the batch and allocates a throwaway [`MarkScratch`]; long-lived
-    /// servers should hold a scratch and call `process_batch_in` directly.
+    /// One-shot convenience over [`KeyTree::process_batch_compacting_in`]
+    /// with compaction off: clones the batch and allocates a throwaway
+    /// [`MarkScratch`]. Long-lived servers should hold a scratch and call
+    /// `process_batch_compacting_in` directly.
     ///
     /// # Panics
     ///
@@ -450,38 +416,29 @@ impl KeyTree {
     /// reach the tree).
     pub fn process_batch(&mut self, batch: &Batch, keygen: &mut KeyGen) -> MarkOutcome {
         let mut scratch = MarkScratch::new();
-        self.process_batch_in(batch.clone(), keygen, &mut scratch)
+        self.process_batch_compacting_in(
+            batch.clone(),
+            keygen,
+            &mut scratch,
+            &CompactionPolicy::DISABLED,
+        )
     }
 
-    /// [`KeyTree::process_batch`] without the per-call allocations: takes
-    /// the batch by value (its join/leave vectors move into the outcome)
-    /// and reuses the caller's [`MarkScratch`] across batches.
+    /// Processes one batch with caller-owned state: takes the batch by
+    /// value (its join/leave vectors move into the outcome), reuses the
+    /// caller's [`MarkScratch`] across batches, and applies amortized tail
+    /// compaction per `policy`.
     ///
-    /// # Panics
-    ///
-    /// As [`KeyTree::process_batch`].
-    pub fn process_batch_in(
-        &mut self,
-        batch: Batch,
-        keygen: &mut KeyGen,
-        scratch: &mut MarkScratch,
-    ) -> MarkOutcome {
-        self.process_batch_compacting_in(batch, keygen, scratch, &CompactionPolicy::DISABLED)
-    }
-
-    /// [`KeyTree::process_batch_in`] plus amortized tail compaction: after
-    /// the batch's own topology changes, if the tree has grown sparse
-    /// enough to trip `policy`, members are relocated from the highest
-    /// u-node slots into the lowest legal holes (at most
-    /// [`CompactionPolicy::max_moves_per_batch`] per call) and the
-    /// vacated tail prunes away, pulling `nk` — and with it tree depth and
+    /// After the batch's own topology changes, if the tree has grown
+    /// sparse enough to trip `policy`, members are relocated from the
+    /// highest u-node slots into the lowest legal holes (at most
+    /// [`CompactionPolicy::max_moves_per_batch`] per call) and the vacated
+    /// tail prunes away, pulling `nk` — and with it tree depth and
     /// per-member rekey cost — back toward the compact optimum. The
     /// relocated members are reported in [`MarkOutcome::relocations`] and
     /// rekeyed like joiners (their subtree edges are sealed under their
     /// individual keys), so delivery and forward secrecy are unaffected.
-    ///
-    /// With [`CompactionPolicy::DISABLED`] this is byte-identical to
-    /// [`KeyTree::process_batch_in`].
+    /// [`CompactionPolicy::DISABLED`] skips compaction entirely.
     ///
     /// # Panics
     ///
@@ -493,51 +450,6 @@ impl KeyTree {
         scratch: &mut MarkScratch,
         policy: &CompactionPolicy,
     ) -> MarkOutcome {
-        let (outcome, pending) = self.process_batch_deferred_in(batch, keygen, scratch, policy);
-
-        // Mint the fresh keys in parallel from the batch seed and install
-        // them immediately — the classic barrier shape. Each key is a PRF
-        // of (seed, node id), so chunked workers produce exactly the keys
-        // a sequential pass would.
-        if let Some(seed) = pending.seed() {
-            let span_mint = obs::span("stage.mint");
-            let chunks: Vec<&[NodeId]> = outcome.updated_knodes.chunks(DERIVE_CHUNK).collect();
-            let derived: Vec<Vec<SymKey>> = taskpool::map(&chunks, |_, ids| {
-                ids.iter().map(|&id| derive_node_key(seed, id)).collect()
-            });
-            drop(span_mint);
-            let flat: Vec<SymKey> = derived.into_iter().flatten().collect();
-            self.install_minted(&outcome.updated_knodes, &flat);
-        }
-        outcome
-    }
-
-    /// [`KeyTree::process_batch_compacting_in`] with key installation
-    /// deferred: runs marking, draws the batch seed, and builds the full
-    /// [`MarkOutcome`] (edges, labels, moves), but does **not** write the
-    /// fresh keys into the tree — they come back as a [`PendingMint`] for
-    /// the caller to derive (chunk by chunk, overlapped with downstream
-    /// work) and install via [`KeyTree::install_minted`].
-    ///
-    /// This works because nothing after marking reads the fresh key
-    /// *values*: encryption edges depend only on node tags and batch
-    /// labels, and each deferred key is a pure PRF of `(seed, id)`. The
-    /// keygen draw happens at exactly the point the barrier path draws
-    /// it, so the generator's sequence — and with it every future batch —
-    /// is unchanged. Until [`KeyTree::install_minted`] runs, the tree
-    /// still holds the *previous* keys of the updated k-nodes; sealing
-    /// must take fresh keys from the mint stream, never from the tree.
-    ///
-    /// # Panics
-    ///
-    /// As [`KeyTree::process_batch`].
-    pub fn process_batch_deferred_in(
-        &mut self,
-        batch: Batch,
-        keygen: &mut KeyGen,
-        scratch: &mut MarkScratch,
-        policy: &CompactionPolicy,
-    ) -> (MarkOutcome, PendingMint) {
         let _span_batch = obs::span("keytree.mark_batch");
         if scratch.epoch > 0 {
             // A warm scratch means its node maps and work lists carry
@@ -574,11 +486,9 @@ impl KeyTree {
             })
             .collect();
 
-        // The seed is drawn here — the same generator step the barrier
-        // path always took — but the keys themselves are left pending.
-        let pending = PendingMint {
-            seed: (!updated.is_empty()).then(|| keygen.next_key()),
-        };
+        // One generator draw per batch, skipped when nothing is updated so
+        // the generator's sequence is unchanged by an empty batch.
+        let seed = (!updated.is_empty()).then(|| keygen.next_key());
 
         let mut encryptions = Vec::new();
         for &p in &updated {
@@ -617,7 +527,6 @@ impl KeyTree {
 
         obs::counter_add("keytree.keys_minted", updated.len() as u64);
         obs::counter_add("keytree.encryptions", encryptions.len() as u64);
-        drop(span_mint);
 
         debug_assert_eq!(self.check_invariants(), Ok(()));
 
@@ -628,8 +537,23 @@ impl KeyTree {
             self.shrink_storage_if_slack();
         }
 
+        // Mint the fresh keys in parallel from the batch seed and install
+        // them. Each key is a PRF of (seed, node id), so chunked workers
+        // produce exactly the keys a sequential pass would.
+        if let Some(seed) = seed {
+            let chunks: Vec<&[NodeId]> = updated.chunks(DERIVE_CHUNK).collect();
+            let derived: Vec<Vec<SymKey>> = taskpool::map(&chunks, |_, ids| {
+                ids.iter().map(|&id| derive_node_key(&seed, id)).collect()
+            });
+            for (&id, key) in updated.iter().zip(derived.into_iter().flatten()) {
+                self.set_key(id, key);
+            }
+            debug_assert_eq!(self.check_invariants(), Ok(()));
+        }
+        drop(span_mint);
+
         let Batch { joins, leaves } = batch;
-        let outcome = MarkOutcome {
+        MarkOutcome {
             updated_knodes: updated,
             encryptions,
             moves,
@@ -639,70 +563,24 @@ impl KeyTree {
             nk: self.max_knode_id(),
             labels,
             index_by_child,
-        };
-        (outcome, pending)
-    }
-
-    /// Writes the deferred fresh keys of a [`PendingMint`] batch into the
-    /// tree: `keys[i]` becomes the key of `ids[i]` (the
-    /// [`MarkOutcome::updated_knodes`] order). Extra entries on either
-    /// side are ignored, so a partially-fed pipeline that is already
-    /// panicking cannot corrupt unrelated nodes.
-    ///
-    /// After this call the tree is byte-identical to what
-    /// [`KeyTree::process_batch_compacting_in`] would have produced
-    /// directly, because each key is the pure PRF of `(seed, id)` both
-    /// paths derive.
-    pub fn install_minted(&mut self, ids: &[NodeId], keys: &[SymKey]) {
-        debug_assert_eq!(ids.len(), keys.len(), "one deferred key per node");
-        for (&id, &key) in ids.iter().zip(keys) {
-            self.set_key(id, key);
         }
-        debug_assert_eq!(self.check_invariants(), Ok(()));
     }
 
-    /// Phases 1–2 of [`KeyTree::process_batch_in`]: applies one batch's
-    /// topology changes (replacements, pruning, splitting, revivals) and
-    /// labels the rekey subtree, leaving the labelled node set in
-    /// `scratch` and the member relocations in `moves` (cleared first).
-    /// Fresh keys are *not* minted here — [`KeyTree::process_batch_in`]
+    /// Phases 1–2 of [`KeyTree::process_batch_compacting_in`]: applies one
+    /// batch's topology changes (replacements, pruning, splitting,
+    /// revivals), runs the amortized tail-compaction step per `policy`,
+    /// and labels the rekey subtree. The labelled node set stays in
+    /// `scratch`, split-driven member moves land in `moves` and
+    /// compaction relocations in `relocations` (both cleared first).
+    /// Fresh keys are *not* minted here — `process_batch_compacting_in`
     /// runs this and then derives keys and encryption edges from the
     /// labels.
     ///
-    /// With a warm `scratch`, a warm `moves`, and no tree growth this is
-    /// the allocation-free half of the batch pipeline; the
-    /// `no_alloc_marks` integration test pins it at zero steady-state
-    /// allocations under the `xcheck-rt` counting allocator.
-    ///
-    /// # Panics
-    ///
-    /// As [`KeyTree::process_batch`].
-    // xcheck: no_alloc
-    pub fn mark_batch_in(
-        &mut self,
-        batch: &Batch,
-        keygen: &mut KeyGen,
-        scratch: &mut MarkScratch,
-        moves: &mut Vec<UserMove>,
-    ) {
-        // An empty `Vec` costs no allocation and compaction is off, so
-        // this wrapper preserves the zero-allocation contract.
-        let mut relocations = Vec::new();
-        self.mark_batch_compacting_in(
-            batch,
-            keygen,
-            scratch,
-            moves,
-            &mut relocations,
-            &CompactionPolicy::DISABLED,
-        );
-    }
-
-    /// [`KeyTree::mark_batch_in`] with the amortized tail-compaction step
-    /// of [`KeyTree::process_batch_compacting_in`] spliced in between the
-    /// batch's topology changes and the labelling pass. Relocated members
-    /// land in `relocations` (cleared first); with a warm scratch and warm
-    /// vectors this remains allocation-free in the steady state.
+    /// With a warm `scratch`, warm vectors, and no tree growth this is the
+    /// allocation-free half of the batch pipeline; the `no_alloc_marks`
+    /// integration test pins it at zero steady-state allocations under
+    /// the `xcheck-rt` counting allocator, with compaction off and
+    /// mid-compaction.
     ///
     /// # Panics
     ///
@@ -1426,7 +1304,12 @@ mod tests {
                 })
                 .collect();
             let before = tree.clone();
-            let outcome = tree.process_batch_in(Batch::new(joins, leaves), &mut kg, &mut scratch);
+            let outcome = tree.process_batch_compacting_in(
+                Batch::new(joins, leaves),
+                &mut kg,
+                &mut scratch,
+                &CompactionPolicy::DISABLED,
+            );
             assert_delivery(&before, &tree, &outcome);
             tree.check_invariants()
                 .unwrap_or_else(|e| panic!("round {round}: {e}"));
@@ -1458,9 +1341,19 @@ mod tests {
                     .collect();
                 let batch = Batch::new(joins, leaves);
                 let outcome = if reuse {
-                    tree.process_batch_in(batch, &mut kg, &mut shared)
+                    tree.process_batch_compacting_in(
+                        batch,
+                        &mut kg,
+                        &mut shared,
+                        &CompactionPolicy::DISABLED,
+                    )
                 } else {
-                    tree.process_batch_in(batch, &mut kg, &mut MarkScratch::new())
+                    tree.process_batch_compacting_in(
+                        batch,
+                        &mut kg,
+                        &mut MarkScratch::new(),
+                        &CompactionPolicy::DISABLED,
+                    )
                 };
                 outcomes.push(outcome);
             }
@@ -1561,10 +1454,11 @@ mod tests {
                         join(&mut kg, next)
                     })
                     .collect();
-                outcomes.push(tree.process_batch_in(
+                outcomes.push(tree.process_batch_compacting_in(
                     Batch::new(joins, leaves),
                     &mut kg,
                     &mut scratch,
+                    &CompactionPolicy::DISABLED,
                 ));
             }
             outcomes
@@ -1572,9 +1466,9 @@ mod tests {
         assert_eq!(run(true), run(false));
     }
 
-    /// A disabled policy routed through the compacting entry points must
-    /// be byte-identical to the plain path: same outcomes, no
-    /// relocations.
+    /// The one-shot [`KeyTree::process_batch`] (batch cloned, throwaway
+    /// scratch) must be byte-identical to the scratch-reusing entry point
+    /// under a disabled policy: same outcomes, no relocations.
     #[test]
     fn disabled_policy_matches_plain_path() {
         let run = |compacting: bool| -> Vec<MarkOutcome> {
@@ -1598,7 +1492,7 @@ mod tests {
                         &CompactionPolicy::DISABLED,
                     )
                 } else {
-                    tree.process_batch_in(batch, &mut kg, &mut scratch)
+                    tree.process_batch(&batch, &mut kg)
                 };
                 assert!(outcome.relocations.is_empty());
                 outcomes.push(outcome);
@@ -1697,7 +1591,12 @@ mod tests {
         // relocations per batch.
         let mut tree = KeyTree::balanced(1024, 4, &mut kg);
         let leaves: Vec<MemberId> = (0..1024).filter(|m| m % 16 != 0).collect();
-        tree.process_batch_in(Batch::new(vec![], leaves), &mut kg, &mut scratch);
+        tree.process_batch_compacting_in(
+            Batch::new(vec![], leaves),
+            &mut kg,
+            &mut scratch,
+            &CompactionPolicy::DISABLED,
+        );
         let tiny = CompactionPolicy {
             enabled: true,
             slack: 2,
@@ -1724,7 +1623,12 @@ mod tests {
         let policy = CompactionPolicy::DEFAULT_ON;
         // Mass departure to open the gap...
         let leaves: Vec<MemberId> = (0..512).filter(|m| m % 8 != 0).collect();
-        tree.process_batch_in(Batch::new(vec![], leaves), &mut kg, &mut scratch);
+        tree.process_batch_compacting_in(
+            Batch::new(vec![], leaves),
+            &mut kg,
+            &mut scratch,
+            &CompactionPolicy::DISABLED,
+        );
         // ...then churn batches with simultaneous joins and leaves.
         let mut next = 1000u32;
         for round in 0u32..12 {

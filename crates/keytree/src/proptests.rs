@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use wirecrypto::{KeyGen, SymKey};
 
-use crate::marking::{Batch, MarkScratch};
+use crate::marking::{Batch, CompactionPolicy, MarkScratch};
 use crate::node::MemberId;
 use crate::sanitize::verify_marking;
 use crate::tree::KeyTree;
@@ -76,7 +76,7 @@ proptest! {
 
             let batch = Batch::new(joins, leavers);
             let before = tree.clone();
-            let outcome = tree.process_batch_in(batch.clone(), &mut kg, &mut scratch);
+            let outcome = tree.process_batch_compacting_in(batch.clone(), &mut kg, &mut scratch, &CompactionPolicy::DISABLED);
 
             let oracle = verify_marking(&before, &tree, &batch, &outcome);
             prop_assert_eq!(&oracle, &Ok(()), "oracle rejected the batch");

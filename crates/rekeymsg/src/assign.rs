@@ -448,10 +448,8 @@ pub fn plan_in(
 
 /// Encryption edges per parallel seal chunk. Constant (not worker-count
 /// derived) so chunk boundaries — and thus the work units and the
-/// first-error-wins order — are identical at any `REKEY_THREADS`. The
-/// streaming pipeline defaults its `chunk_edges` to this so both paths
-/// cut the edge list on the same lines.
-pub const SEAL_CHUNK: usize = 64;
+/// first-error-wins order — are identical at any `REKEY_THREADS`.
+const SEAL_CHUNK: usize = 64;
 
 /// Plans the UKA packing and seals the full edge list, without
 /// assembling wire packets.
@@ -716,9 +714,8 @@ impl UkaAssignment {
     ) -> Result<UkaAssignment, AssignError> {
         let _span_build = obs::span("uka.build");
         let msg_id = (msg_seq & 0x3f) as u8;
-        // The range check precedes planning so the barrier and streamed
-        // paths surface errors in the same order (the streamed path
-        // checks `max_kid` before phase 1 starts).
+        // The range check precedes planning, so a tree too large for the
+        // 16-bit wire fails before any planning or sealing work.
         let max_kid = outcome.nk.unwrap_or(0);
         if max_kid > u16::MAX as NodeId {
             return Err(AssignError::IdOutOfRange(max_kid));

@@ -50,17 +50,15 @@ mod layout;
 /// (tests / `--features sanitize`).
 #[cfg(any(test, feature = "sanitize"))]
 pub mod sanitize;
-pub mod stream;
 pub mod view;
 pub mod wire;
 
 pub use assign::{
     naive_plan_stats, plan, plan_and_seal, plan_in, AssignError, AssignmentStats,
-    NaiveAssignmentStats, PacketPlan, PlanScratch, UkaAssignment, UserRun, SEAL_CHUNK,
+    NaiveAssignmentStats, PacketPlan, PlanScratch, UkaAssignment, UserRun,
 };
-pub use blocks::{BlockSet, BlockSetBuilder, SendItem, SendOrder};
+pub use blocks::{BlockSet, SendItem, SendOrder};
 pub use layout::Layout;
-pub use stream::{StreamStats, StreamTuning};
 pub use view::{EncView, ParityView};
 pub use wire::{EncPacket, NackPacket, NackRequest, Packet, ParityPacket, UsrPacket, WireError};
 

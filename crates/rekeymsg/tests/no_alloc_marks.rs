@@ -5,7 +5,7 @@
 //! perform zero heap allocations. Only materializing the output plans
 //! (`plan_in`'s emit step) allocates.
 
-use keytree::{Batch, KeyTree, MarkScratch};
+use keytree::{Batch, CompactionPolicy, KeyTree, MarkScratch};
 use rekeymsg::{Layout, PlanScratch};
 use wirecrypto::KeyGen;
 
@@ -38,7 +38,12 @@ fn plan_compute_is_allocation_free_in_steady_state() {
     let mut warm_packets = 0usize;
     for round in 0..4 {
         let batch = batch_at(round, &mut kg, &mut next_member);
-        let outcome = tree.process_batch_in(batch, &mut kg, &mut mark);
+        let outcome = tree.process_batch_compacting_in(
+            batch,
+            &mut kg,
+            &mut mark,
+            &CompactionPolicy::DISABLED,
+        );
         warm_packets = scratch
             .compute(&tree, &outcome, &layout)
             .expect("DEFAULT layout fits a depth-5 tree");
@@ -51,7 +56,8 @@ fn plan_compute_is_allocation_free_in_steady_state() {
     // idempotent over scratch state — a replan of the same outcome is
     // bit-identical), then the measured call must be allocation-free.
     let batch = batch_at(4, &mut kg, &mut next_member);
-    let outcome = tree.process_batch_in(batch, &mut kg, &mut mark);
+    let outcome =
+        tree.process_batch_compacting_in(batch, &mut kg, &mut mark, &CompactionPolicy::DISABLED);
     scratch
         .compute(&tree, &outcome, &layout)
         .expect("DEFAULT layout fits a depth-5 tree");
